@@ -1,7 +1,8 @@
 """Loop-based oracle implementations of the vectorized query/compression kernels.
 
 These are the original (pre-vectorization) per-row Python implementations of
-``theta_join``, ``merge_boxes`` and the ProvRC key-pass greedy run scan.
+``theta_join``, ``merge_boxes``, the ProvRC key-pass greedy run scan and
+``CompressedLineage.decompress``.
 They are intentionally simple — one interpreted loop iteration per row or
 box — and define the exact semantics the vectorized kernels in
 :mod:`repro.core.query` and :mod:`repro.core.provrc` must reproduce, down to
@@ -16,12 +17,14 @@ in-situ processor and the baselines).  This module pins down the *kernels*.
 from __future__ import annotations
 
 import itertools
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from .compressed import KIND_REL, CompressedLineage
+from .intervals import Interval
 from .provrc import _run_lengths
+from .relation import LineageRelation
 
 __all__ = [
     "theta_join_reference",
@@ -30,6 +33,7 @@ __all__ = [
     "theta_join_batch_reference",
     "merge_boxes_batch_reference",
     "execute_path_batch_reference",
+    "decompress_reference",
 ]
 
 
@@ -348,3 +352,40 @@ def key_range_pass_reference(
         vhi = np.concatenate(out_vhi, axis=0) if out_vhi else vhi[:0]
 
     return klo, khi, vkind, vref, vlo, vhi
+
+
+def _iter_box(intervals: Tuple[Interval, ...]) -> Iterator[Tuple[int, ...]]:
+    if not intervals:
+        yield ()
+        return
+    head, tail = intervals[0], intervals[1:]
+    for value in head:
+        for rest in _iter_box(tail):
+            yield (value,) + rest
+
+
+def decompress_reference(table: CompressedLineage) -> LineageRelation:
+    """The original per-cell expansion of
+    :meth:`~repro.core.compressed.CompressedLineage.decompress`: one tuple
+    per contribution edge, then ``np.unique(rows, axis=0)``."""
+    pairs = []
+    for row in table.rows():
+        for key_cell in _iter_box(row.key):
+            value_intervals = [row.value_interval(i, key_cell) for i in range(table.value_ndim)]
+            for value_cell in _iter_box(tuple(value_intervals)):
+                if table.key_side == "output":
+                    pairs.append((key_cell, value_cell))
+                else:
+                    pairs.append((value_cell, key_cell))
+    relation = LineageRelation.from_pairs(
+        pairs,
+        table.out_shape,
+        table.in_shape,
+        out_name=table.out_name,
+        in_name=table.in_name,
+        out_axes=table.out_axes,
+        in_axes=table.in_axes,
+    )
+    if len(relation) == 0:
+        return relation
+    return relation._replace_rows(np.unique(relation.rows, axis=0))

@@ -358,41 +358,64 @@ class CompressedLineage:
             yield self.row(index)
 
     # ------------------------------------------------------------------
-    # decompression (the lossless inverse used by tests)
+    # decompression (the lossless inverse)
     # ------------------------------------------------------------------
     def decompress(self) -> LineageRelation:
-        """Expand back to the full uncompressed :class:`LineageRelation`."""
-        pairs: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        for row in self.rows():
-            for key_cell in self._iter_box(row.key):
-                value_intervals = [
-                    row.value_interval(i, key_cell) for i in range(self.value_ndim)
-                ]
-                for value_cell in self._iter_box(tuple(value_intervals)):
-                    if self.key_side == "output":
-                        pairs.append((key_cell, value_cell))
-                    else:
-                        pairs.append((value_cell, key_cell))
-        relation = LineageRelation.from_pairs(
-            pairs,
+        """Expand back to the full uncompressed :class:`LineageRelation`,
+        deduplicated (rows sorted, each once).
+
+        Serves ingest-time reorientation of reused tables, scrub's rebuild
+        of a damaged orientation from its sibling and the legacy ``.provrc``
+        import, as well as the tests.  Every compressed row expands at once
+        in numpy: per-row box sizes feed one ``np.repeat``, mixed-radix
+        digits of each cell's offset within its box give its coordinates,
+        and relative attributes are shifted by the cell's key coordinate.
+        :func:`repro.core._reference.decompress_reference` is the per-cell
+        loop this must match.
+        """
+        n, nkey, nval = len(self), self.key_ndim, self.value_ndim
+        lows = np.concatenate([self.key_lo.reshape(n, nkey), self.val_lo.reshape(n, nval)], axis=1)
+        highs = np.concatenate([self.key_hi.reshape(n, nkey), self.val_hi.reshape(n, nval)], axis=1)
+        lows = lows.astype(np.int64)
+        radices = highs - lows + 1
+        cells = radices.prod(axis=1)
+        starts = np.cumsum(cells) - cells
+        offset = np.arange(int(cells.sum()), dtype=np.int64) - np.repeat(starts, cells)
+
+        # digits of each cell's offset, last attribute fastest, so keys
+        # enumerate outermost exactly like the per-cell loop
+        coords = np.empty((offset.shape[0], nkey + nval), dtype=np.int64)
+        for column in range(nkey + nval - 1, -1, -1):
+            coords[:, column] = np.repeat(lows[:, column], cells)
+            size = radices[:, column]
+            if (size == 1).all():
+                continue
+            size = np.repeat(size, cells)
+            coords[:, column] += offset % size
+            offset //= size
+
+        rel = self.val_kind.reshape(n, nval) == KIND_REL
+        ref = self.val_ref.reshape(n, nval)
+        for i in range(nval):
+            for k in range(nkey):
+                shifted = rel[:, i] & (ref[:, i] == k)
+                if shifted.all():
+                    coords[:, nkey + i] += coords[:, k]
+                elif shifted.any():
+                    coords[:, nkey + i] += np.repeat(shifted, cells) * coords[:, k]
+
+        if self.key_side == "input":
+            coords = np.concatenate([coords[:, nkey:], coords[:, :nkey]], axis=1)
+        relation = LineageRelation(
             self.out_shape,
             self.in_shape,
+            coords,
             out_name=self.out_name,
             in_name=self.in_name,
             out_axes=self.out_axes,
             in_axes=self.in_axes,
         )
         return relation.deduplicated()
-
-    @staticmethod
-    def _iter_box(intervals: Tuple[Interval, ...]) -> Iterator[Tuple[int, ...]]:
-        if not intervals:
-            yield ()
-            return
-        head, tail = intervals[0], intervals[1:]
-        for value in head:
-            for rest in CompressedLineage._iter_box(tail):
-                yield (value,) + rest
 
     # ------------------------------------------------------------------
     # size accounting

@@ -39,7 +39,7 @@ import numpy as np
 from .compressed import KIND_ABS, KIND_REL, CompressedLineage
 from .relation import LineageRelation
 
-__all__ = ["compress", "compress_both", "ProvRCStats"]
+__all__ = ["compress", "compress_both", "reorient", "ProvRCStats"]
 
 
 class ProvRCStats:
@@ -130,10 +130,24 @@ def compress(
 
 def compress_both(relation: LineageRelation, relative: bool = True) -> Tuple[CompressedLineage, CompressedLineage]:
     """Return ``(backward_table, forward_table)`` for a relation."""
+    relation = relation.deduplicated()  # the second compress pays only the sortedness check
     return (
         compress(relation, key="output", relative=relative),
         compress(relation, key="input", relative=relative),
     )
+
+
+def reorient(table: CompressedLineage) -> CompressedLineage:
+    """Build the other orientation of *table*: decompress to the cell
+    relation, then re-compress keyed on the opposite side.
+
+    Serves reused tables (which arrive backward only), scrub's rebuild of a
+    damaged orientation and the legacy ``.provrc`` import.  ``compress`` is
+    resolved through this module's globals at call time, so a wrapper
+    installed on ``repro.core.provrc.compress`` covers reorientation too.
+    """
+    key = "input" if table.key_side == "output" else "output"
+    return compress(table.decompress(), key=key)
 
 
 # ----------------------------------------------------------------------

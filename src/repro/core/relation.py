@@ -29,6 +29,19 @@ def default_axis_names(prefix: str, ndim: int) -> AxisNames:
     return tuple(f"{prefix}{i + 1}" for i in range(ndim))
 
 
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """Whether every row is lexicographically greater than the one before."""
+    greater = np.zeros(rows.shape[0] - 1, dtype=bool)
+    tied = np.ones(rows.shape[0] - 1, dtype=bool)
+    for column in rows.T:
+        cur, prev = column[1:], column[:-1]
+        greater |= tied & (cur > prev)
+        tied &= cur == prev
+        if not tied.any():
+            break
+    return bool(greater.all())
+
+
 @dataclass
 class LineageRelation:
     """Uncompressed cell-level lineage between one input and one output array.
@@ -154,11 +167,22 @@ class LineageRelation:
         return {tuple(int(v) for v in row) for row in self.rows}
 
     def deduplicated(self) -> "LineageRelation":
-        """Return a copy with duplicate rows removed (set semantics)."""
-        if len(self) == 0:
+        """Return the relation under set semantics: rows sorted
+        lexicographically on ``b1..bl, a1..am``, each row once, same dtype.
+
+        The result equals ``np.unique(rows, axis=0)`` in values, order and
+        dtype.  Rows that are already strictly increasing (every capture
+        path emits them so) cost one O(n) adjacent-row check and come back
+        unchanged as ``self``; anything else pays one ``lexsort`` plus an
+        adjacent-row compare.
+        """
+        rows = self.rows
+        if len(self) == 0 or _strictly_increasing(rows):
             return self
-        rows = np.unique(self.rows, axis=0)
-        return self._replace_rows(rows)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        fresh = np.ones(rows.shape[0], dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        return self._replace_rows(rows[fresh])
 
     def sorted(self) -> "LineageRelation":
         """Return a copy sorted lexicographically on ``b1..bl, a1..am``."""

@@ -63,6 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .service.server import LineageServer
 
 from .core.compressed import CompressedLineage
+from .core.provrc import reorient
 from .core.query import CellBoxSet, QueryResult, execute_path
 from .core.relation import LineageRelation
 from .core.serialize import write_compressed
@@ -461,23 +462,14 @@ class DSLog:
             out_axes=source.out_axes,
             in_axes=source.in_axes,
         )
-        forward = self._reorient(backward)
+        # reused tables arrive backward only: the forward table is rebuilt
+        # once here, at ingest, never during queries
+        forward = reorient(backward)
         entry = self.catalog.add_compressed(
             backward, forward, op_name=op_name, reused=True, replace=replace
         )
         self._flush(entry)
         return entry
-
-    @staticmethod
-    def _reorient(backward: CompressedLineage) -> CompressedLineage:
-        """Build the forward orientation by re-compressing the decompressed rows.
-
-        Reused tables arrive only in backward orientation; the forward table
-        is rebuilt once at ingest (never during queries).
-        """
-        from .core.provrc import compress
-
-        return compress(backward.decompress(), key="input")
 
     def _capture_pair(self, pair, relations, captures, in_arrs, out_arrs):
         in_name, out_name = pair
@@ -975,7 +967,6 @@ class DSLog:
         if load_manifest(root) is not None:
             return cls(root=root, gzip=gzip, backend="segment", **kwargs)
 
-        from .core.provrc import compress
         from .core.serialize import read_compressed
 
         log = cls(root=root, gzip=gzip, **kwargs)
@@ -984,6 +975,5 @@ class DSLog:
             backward = read_compressed(path)
             log.catalog.define_array(backward.in_name, backward.in_shape)
             log.catalog.define_array(backward.out_name, backward.out_shape)
-            forward = compress(backward.decompress(), key="input")
-            log.catalog.add_compressed(backward, forward)
+            log.catalog.add_compressed(backward, reorient(backward))
         return log

@@ -60,6 +60,7 @@ from ..core.serialize import serialize_table
 from ..faults import FaultPlan
 from ..obs import REGISTRY, log_event
 from ..storage.catalog import Catalog, LineageConflictError, LineageEntry, OperationRecord
+from ..storage.manifest import fsync_dir
 from ..storage.store import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_SEGMENT_MAX_BYTES,
@@ -181,6 +182,7 @@ class ShardedLineageStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fsync_dir(self.root)
 
     # ------------------------------------------------------------------
     # routing

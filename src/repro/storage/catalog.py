@@ -146,6 +146,7 @@ class Catalog:
         replace: bool = False,
     ) -> LineageEntry:
         """Compress a relation into both orientations and store the entry."""
+        relation = relation.deduplicated()  # each compress then pays only the sortedness check
         backward = compress(relation, key="output")
         forward = compress(relation, key="input")
         return self.add_compressed(

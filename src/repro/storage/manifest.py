@@ -9,9 +9,11 @@ serialized reuse-predictor state, and the list of live segment files.
 Durability protocol
 -------------------
 * Segment records are appended first; the manifest is written *after*, via
-  a temp file + ``fsync`` + atomic ``os.replace``.  A crash between the two
-  leaves unreferenced segment bytes (harmless garbage) and the previous
-  manifest generation intact — reopening always sees a consistent catalog.
+  a temp file + ``fsync`` + atomic ``os.replace`` + ``fsync`` of the
+  directory (without the last, a power loss may forget the rename).  A
+  crash between the append and the manifest write leaves unreferenced
+  segment bytes (harmless garbage) and the previous manifest generation
+  intact — reopening always sees a consistent catalog.
 * ``generation`` increases by one per save, so stale copies are detectable
   and tests can assert on write counts.
 * Opening a directory costs O(manifest): no segment bytes are read until a
@@ -34,6 +36,7 @@ __all__ = [
     "save_manifest",
     "dump_manifest",
     "write_manifest",
+    "fsync_dir",
     "tuplify",
 ]
 
@@ -137,11 +140,22 @@ def dump_manifest(manifest: Manifest) -> str:
     return json.dumps(manifest.to_json(), separators=(",", ":"), default=_json_safe)
 
 
+def fsync_dir(path: Union[str, Path]) -> None:
+    """Fsync a directory, making the file creations and renames inside it
+    durable (fsyncing a file does not persist its directory entry)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def write_manifest(root: Union[str, Path], data: str) -> None:
     """Atomically replace ``MANIFEST.json`` with pre-serialized text.
 
     The temp file is fsynced before the rename so a crash can only ever
-    observe the old or the new complete manifest, never a torn one.
+    observe the old or the new complete manifest, never a torn one; the
+    directory is fsynced after it so a power loss cannot undo the rename.
     """
     path = Path(root) / MANIFEST_NAME
     tmp = path.with_suffix(".json.tmp")
@@ -150,6 +164,7 @@ def write_manifest(root: Union[str, Path], data: str) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fsync_dir(path.parent)
 
 
 def save_manifest(root: Union[str, Path], manifest: Manifest) -> int:

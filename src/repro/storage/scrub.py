@@ -27,7 +27,7 @@ Repair contract
 ---------------
 * A damaged **entry orientation** is rebuilt from its intact sibling:
   the backward and forward ProvRC tables are mutually derivable
-  (``compress(other.decompress(), key=...)``), so one flipped byte never
+  (``reorient(other)``), so one flipped byte never
   loses a lineage entry.  Only when *both* orientations are damaged is
   the entry dropped (reported in ``dropped_entries``).
 * A damaged **reuse-state table** clears the reuse predictor's persisted
@@ -136,16 +136,14 @@ def _segment_damage(root: Path, name: str, bad_refs: Dict[str, List[dict]]) -> O
     }
 
 
-def _rebuild_orientation(store: LineageStore, sibling_payload: bytes, key: str) -> bytes:
+def _rebuild_orientation(store: LineageStore, sibling_payload: bytes) -> bytes:
     """Re-derive one orientation's serialized payload from the intact
-    sibling: deserialize → decompress to the cell relation → re-compress
-    keyed the other way → serialize in the store's on-disk format."""
-    from ..core.provrc import compress
+    sibling: deserialize → reorient (decompress, re-compress keyed the
+    other way) → serialize in the store's on-disk format."""
+    from ..core.provrc import reorient
     from ..core.serialize import deserialize_table
 
-    table = deserialize_table(sibling_payload)
-    rebuilt = compress(table.decompress(), key=key)
-    return serialize_table(rebuilt, gzip=store.gzip)
+    return serialize_table(reorient(deserialize_table(sibling_payload)), gzip=store.gzip)
 
 
 def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) -> dict:
@@ -330,14 +328,14 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
             report["dropped_entries"].append(list(state["pair"]))
             continue
         if b_status != "ok":
-            payload = _rebuild_orientation(store, f_payload, key="output")
+            payload = _rebuild_orientation(store, f_payload)
             row["backward"] = rebuild_ref(payload, b_ref).to_json()
             report["rebuilt_orientations"] += 1
         elif b_ref.segment in damaged_set:
             row["backward"] = relocate(b_payload, b_ref).to_json()
             report["evacuated_records"] += 1
         if f_status != "ok":
-            payload = _rebuild_orientation(store, b_payload, key="input")
+            payload = _rebuild_orientation(store, b_payload)
             row["forward"] = rebuild_ref(payload, f_ref).to_json()
             report["rebuilt_orientations"] += 1
         elif f_ref.segment in damaged_set:

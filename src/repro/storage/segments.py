@@ -71,6 +71,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from ..core.serialize import frame_header, parse_header
 from ..faults import FaultPlan, InjectedFault
 from ..obs import REGISTRY
+from .manifest import fsync_dir
 
 _SEG_FLUSHES = REGISTRY.counter(
     "dslog_segment_flushes_total", "Coalesced batch writes that reached the OS"
@@ -197,6 +198,9 @@ class SegmentWriter:
         self.coalesced_records = 0  # records covered by those flushes
         self.torn_writes = 0  # short writes that destroyed pending bytes
         self._pending_records = 0
+        # a file this writer created must have its directory entry made
+        # durable (on the first sync) before any manifest references it
+        self._dir_synced = existing != 0
         if existing == 0:
             self._fh.write(_header_bytes(self.version))
             self._fh.flush()
@@ -303,6 +307,9 @@ class SegmentWriter:
             self.faults.check("segment.fsync", self.scope)
         os.fsync(self._fh.fileno())
         _SEG_FSYNCS.inc()
+        if not self._dir_synced:
+            fsync_dir(self.path.parent)
+            self._dir_synced = True
         return flushed
 
     def close(self) -> None:

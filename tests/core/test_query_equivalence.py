@@ -1,7 +1,8 @@
 """Equivalence of the vectorized kernels with the loop oracles.
 
-The vectorized θ-join, segmented box merge and ProvRC key-pass run scan in
-:mod:`repro.core.query` / :mod:`repro.core.provrc` must reproduce the
+The vectorized θ-join, segmented box merge, ProvRC key-pass run scan and
+table decompression in :mod:`repro.core.query` / :mod:`repro.core.provrc` /
+:mod:`repro.core.compressed` must reproduce the
 original per-row loop implementations (kept in :mod:`repro.core._reference`)
 *exactly* — same rows, same order, same dtypes — on randomized 1-D/2-D/3-D
 relations, including relative encodings, out-of-bounds queries and empty
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core._reference import (
+    decompress_reference,
     execute_path_batch_reference,
     key_range_pass_reference,
     merge_boxes_batch_reference,
@@ -19,7 +21,7 @@ from repro.core._reference import (
     theta_join_batch_reference,
     theta_join_reference,
 )
-from repro.core.compressed import KIND_REL
+from repro.core.compressed import KIND_ABS, KIND_REL, CompressedLineage
 from repro.core.provrc import _key_range_pass, _value_range_pass, compress
 from repro.core.query import (
     THETA_JOIN_BLOCK_BUDGET_BYTES,
@@ -224,6 +226,84 @@ class TestKeyRangePassEquivalence:
         relation = LineageRelation.from_pairs(pairs, (5000,), (5000,))
         assert len(compress(relation)) == 1
         assert len(compress(relation, relative=False)) == 5000
+
+
+def assert_relations_identical(got, want):
+    assert got.out_shape == want.out_shape and got.in_shape == want.in_shape
+    assert (got.out_name, got.in_name) == (want.out_name, want.in_name)
+    assert (got.out_axes, got.in_axes) == (want.out_axes, want.in_axes)
+    assert got.rows.dtype == want.rows.dtype
+    assert got.rows.shape == want.rows.shape
+    assert np.array_equal(got.rows, want.rows)
+
+
+class TestDecompressEquivalence:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("key", ["output", "input"])
+    def test_random_relations_match_oracle(self, seed, key):
+        rng = np.random.default_rng(seed + 3000)
+        relative_seen = False
+        for _ in range(25):
+            table = compress(random_relation(rng), key=key)
+            relative_seen |= table.has_relative
+            assert_relations_identical(table.decompress(), decompress_reference(table))
+        assert relative_seen, "no random table used the relative encoding"
+
+    @pytest.mark.parametrize("key", ["output", "input"])
+    def test_shared_reference_diagonal(self, key):
+        # both input axes follow the one output axis: each row references
+        # b1 twice, a diagonal that must not expand as a Cartesian product
+        pairs = [((i,), (i, i + d)) for i in range(6) for d in range(2)]
+        table = compress(LineageRelation.from_pairs(pairs, (6,), (6, 7)), key=key)
+        if key == "output":
+            assert table.shared_ref_mask is not None
+        got = table.decompress()
+        assert_relations_identical(got, decompress_reference(table))
+        assert len(got) == len(pairs)
+
+    def test_mixed_encodings_within_a_column(self):
+        # rows disagree on which value column is relative, so neither
+        # column has one encoding for the whole table
+        table = CompressedLineage(
+            key_side="output",
+            out_name="B",
+            in_name="A",
+            out_shape=(5,),
+            in_shape=(8, 8),
+            key_lo=[[0], [3]],
+            key_hi=[[2], [4]],
+            val_kind=[[KIND_REL, KIND_ABS], [KIND_ABS, KIND_REL]],
+            val_ref=[[0, -1], [-1, 0]],
+            val_lo=[[0, 2], [1, -1]],
+            val_hi=[[1, 3], [1, 0]],
+        )
+        assert table.uniform_value_encoding is None
+        assert_relations_identical(table.decompress(), decompress_reference(table))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("key", ["output", "input"])
+    def test_hydrated_narrow_tables_match_oracle(self, seed, key):
+        from repro.core.serialize import deserialize_compressed, serialize_compressed
+
+        rng = np.random.default_rng(seed + 4000)
+        narrow_seen = False
+        for _ in range(25):
+            table = compress(random_relation(rng), key=key)
+            hydrated = deserialize_compressed(serialize_compressed(table))
+            if len(table) and hydrated.key_lo.dtype != np.int64:
+                assert not hydrated.key_lo.flags.writeable
+                narrow_seen = True
+            got = hydrated.decompress()
+            assert_relations_identical(got, decompress_reference(hydrated))
+            assert_relations_identical(got, table.decompress())
+        assert narrow_seen, "the hydration path never produced a narrow table"
+
+    @pytest.mark.parametrize("key", ["output", "input"])
+    def test_empty_table(self, key):
+        table = compress(LineageRelation.from_pairs([], (3, 3), (3,)), key=key)
+        got = table.decompress()
+        assert got.rows.shape == (0, 3)
+        assert_relations_identical(got, decompress_reference(table))
 
 
 class TestNarrowDtypeEquivalence:

@@ -75,6 +75,25 @@ class TestSemantics:
         rel = LineageRelation.from_pairs(pairs, out_shape=(1,), in_shape=(1, 1))
         assert len(rel.deduplicated()) == 1
 
+        # the contract is np.unique(rows, axis=0): values, order and dtype
+        rng = np.random.default_rng(7)
+        ordered = np.unique(rng.integers(-3, 4, size=(200, 3)), axis=0)
+        with_duplicates = np.concatenate([ordered, ordered[::3]])
+        adjacent_duplicate = np.insert(ordered, 50, ordered[50], axis=0)
+        inputs = {
+            "shuffled with duplicates": rng.permutation(with_duplicates),
+            "already sorted": ordered,
+            "sorted, one adjacent duplicate": adjacent_duplicate,
+            "single row": ordered[:1],
+            "empty": np.empty((0, 3), dtype=np.int64),
+        }
+        for label, rows in inputs.items():
+            got = LineageRelation((4,), (4, 4), rows).deduplicated().rows
+            want = np.unique(rows, axis=0)
+            assert got.dtype == want.dtype, label
+            assert got.shape == want.shape, label
+            assert np.array_equal(got, want), label
+
     def test_sorted_is_lexicographic(self):
         rel = LineageRelation.from_pairs(
             [((1,), (1, 0)), ((0,), (0, 1)), ((0,), (0, 0))],

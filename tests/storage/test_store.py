@@ -1,6 +1,8 @@
 """Tests for the segment-based lineage store (segments, manifest, cache)."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from repro import DSLog
 from repro.core.provrc import compress
 from repro.core.relation import LineageRelation
-from repro.storage.manifest import MANIFEST_NAME, load_manifest
+from repro.storage.manifest import MANIFEST_NAME, load_manifest, write_manifest
 from repro.storage.segments import SegmentWriter, iter_records, read_record
 from repro.storage.store import (
     LineageStore,
@@ -159,6 +161,51 @@ class TestDurability:
         assert len(reopened.catalog) == 3
         with pytest.raises(KeyError):
             reopened.catalog.entry(names[0], names[2])
+
+    @pytest.fixture
+    def sync_events(self, monkeypatch):
+        """Record, in order, every rename (by destination name) and every
+        fsync (as ``dir``/``file`` plus the synced inode)."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            events.append(("dir" if stat.S_ISDIR(st.st_mode) else "file", st.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(("replace", os.path.basename(dst)))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        return events
+
+    @staticmethod
+    def dir_synced_after(events, replaced, directory):
+        index = events.index(("replace", replaced))
+        return ("dir", directory.stat().st_ino) in events[index + 1:]
+
+    def test_manifest_publish_fsyncs_directory(self, tmp_path, sync_events):
+        write_manifest(tmp_path, "{}")
+        assert self.dir_synced_after(sync_events, MANIFEST_NAME, tmp_path)
+
+    def test_shards_file_publish_fsyncs_directory(self, tmp_path, sync_events):
+        from repro.service.shards import SHARDS_NAME, ShardedLineageStore
+
+        ShardedLineageStore(tmp_path / "db", num_shards=2)
+        assert self.dir_synced_after(sync_events, SHARDS_NAME, tmp_path / "db")
+
+    def test_new_segment_directory_synced_before_manifest(self, tmp_path, sync_events):
+        store = LineageStore(tmp_path / "db")
+        store.append_table(compress(elementwise((5,)), key="output"))
+        store.sync()
+        segment = tmp_path / "db" / store.manifest.segments[-1]
+        directory_sync = ("dir", (tmp_path / "db").stat().st_ino)
+        segment_sync = sync_events.index(("file", segment.stat().st_ino))
+        publish = sync_events.index(("replace", MANIFEST_NAME))
+        assert directory_sync in sync_events[segment_sync + 1:publish]
 
     def test_orphan_segments_removed_on_open(self, tmp_path):
         log, _ = chain_log(tmp_path / "db", 2)
